@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..stats.metrics import LatencyRecorder
+from ..stats.metrics import LatencyRecorder, percentile_of_sorted
 
 #: Sorted ``(key, value)`` pairs — the canonical label encoding.
 Labels = tuple[tuple[str, object], ...]
@@ -105,7 +105,12 @@ class Histogram(LatencyRecorder):
         self, ps: tuple[float, ...] = (50, 95, 99)
     ) -> tuple[float | None, ...]:
         """The requested percentiles in one sorted pass."""
-        return tuple(self.percentile(p) for p in ps)
+        if any(not 0 <= p <= 100 for p in ps):
+            raise ValueError("percentile must be in [0, 100]")
+        if not self._samples:
+            return tuple(None for _ in ps)
+        ordered = sorted(self._samples)
+        return tuple(percentile_of_sorted(ordered, p) for p in ps)
 
     def summary(self) -> dict[str, float]:
         # Keep the all-zero dict for empty histograms so the snapshot

@@ -8,6 +8,7 @@ A.1, loss accounting, and the interarrival jitter estimator of A.8.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 _SEQ_MOD = 1 << 16
@@ -192,40 +193,58 @@ class GapDetector:
     """Tracks holes in the sequence space to drive Generic NACKs.
 
     Feeds on arriving sequence numbers; :meth:`missing` reports every
-    sequence number between the lowest unacknowledged position and the
-    highest seen that has not arrived — the set a participant packs
-    into NACK FCI entries (section 5.3.2).
+    sequence number between the oldest packet seen and the highest
+    seen that has not arrived — the set a participant packs into NACK
+    FCI entries (section 5.3.2).
+
+    Only the holes are stored.  Invariant: they are exactly the unseen
+    sequence numbers whose distance behind ``highest`` lies in
+    ``[1, oldest_back - 1]``, kept oldest first.  A newer packet appends
+    the numbers it skipped and drops holes that slid out of the window;
+    an older packet inside the window fills its hole; anything else is
+    a no-op.  Per-packet work is O(1) amortised and :meth:`missing` is
+    O(holes).
     """
+
+    __slots__ = ("max_tracked", "_holes", "_highest", "_oldest_back")
 
     def __init__(self, max_tracked: int = 1024) -> None:
         if not 0 < max_tracked < _SEQ_MOD // 2:
             raise ValueError("max_tracked must be in (0, 2^15)")
         self.max_tracked = max_tracked
-        self._seen: set[int] = set()
+        #: hole → None, in insertion order, which is oldest first.
+        self._holes: OrderedDict[int, None] = OrderedDict()
         self._highest: int | None = None
         self._oldest_back = 0  # distance from highest to oldest packet seen
 
     def record(self, seq: int) -> None:
         seq %= _SEQ_MOD
-        if self._highest is None:
-            self._highest = seq
-            self._oldest_back = 0
-        elif seq_newer(seq, self._highest):
-            advance = (seq - self._highest) % _SEQ_MOD
-            self._highest = seq
-            self._oldest_back = min(
-                self._oldest_back + advance, self.max_tracked
-            )
-        self._seen.add(seq)
-        self._trim()
-
-    def _trim(self) -> None:
-        assert self._highest is not None
         highest = self._highest
-        self._seen = {
-            s for s in self._seen
-            if (highest - s) % _SEQ_MOD <= self.max_tracked
-        }
+        if highest is None:
+            self._highest = seq
+            return
+        back = (highest - seq) % _SEQ_MOD
+        if back <= _SEQ_MOD // 2:
+            # Not newer (seq_newer is false): an older packet inside the
+            # window fills its hole; anything else changes nothing.
+            if 0 < back < self._oldest_back:
+                self._holes.pop(seq, None)
+            return
+        advance = _SEQ_MOD - back
+        oldest_back = min(self._oldest_back + advance, self.max_tracked)
+        self._highest = seq
+        self._oldest_back = oldest_back
+        holes = self._holes
+        if advance >= oldest_back:
+            holes.clear()  # the whole window is freshly skipped numbers
+        else:
+            # Slide the window: expire holes from the old end.
+            while holes:
+                if (seq - next(iter(holes))) % _SEQ_MOD < oldest_back:
+                    break
+                holes.popitem(last=False)
+        for behind in range(min(advance, oldest_back) - 1, 0, -1):
+            holes[(seq - behind) % _SEQ_MOD] = None
 
     def missing(self) -> list[int]:
         """Missing sequence numbers, oldest first, within the window.
@@ -233,14 +252,7 @@ class GapDetector:
         Only gaps *after* the oldest packet ever seen are reported —
         a receiver that joined mid-stream has no claim on history.
         """
-        if self._highest is None:
-            return []
-        out = []
-        for back in range(self._oldest_back - 1, 0, -1):
-            seq = (self._highest - back) % _SEQ_MOD
-            if seq not in self._seen:
-                out.append(seq)
-        return out
+        return list(self._holes)
 
     def acknowledge(self, seq: int) -> None:
         """Mark ``seq`` recovered (e.g. retransmission arrived)."""

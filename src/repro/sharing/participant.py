@@ -555,28 +555,30 @@ class Participant:
             for seq in self._jitter.drain_skipped():
                 self.recovery.cancel(seq)
                 self.receiver.gaps.acknowledge(seq)
-        if self.ah_supports_retransmissions:
-            actions = self.recovery.poll(
-                self.receiver.missing_sequence_numbers()
-            )
-            if actions.nack_now:
-                self.send_nack(actions.nack_now)
-            if actions.gave_up:
-                # Retries exhausted: degrade gracefully.  Release the
-                # jitter-buffer holes so later packets flow, stop
-                # NACKing these sequences, and ask the AH for a full
-                # window refresh to repair whatever the lost packets
-                # carried.
-                if self._spans.enabled:
-                    for seq in actions.gave_up:
-                        self._spans.abandon(
-                            self._spans.resolve(self._media_ssrc, seq),
-                            "give_up",
-                        )
+        if not self.ah_supports_retransmissions:
+            return
+        missing = self.receiver.missing_sequence_numbers()
+        if not missing and not self.recovery.pending:
+            return  # nothing to NACK and nothing to time out
+        actions = self.recovery.poll(missing)
+        if actions.nack_now:
+            self.send_nack(actions.nack_now)
+        if actions.gave_up:
+            # Retries exhausted: degrade gracefully.  Release the
+            # jitter-buffer holes so later packets flow, stop
+            # NACKing these sequences, and ask the AH for a full
+            # window refresh to repair whatever the lost packets
+            # carried.
+            if self._spans.enabled:
                 for seq in actions.gave_up:
-                    self.receiver.gaps.acknowledge(seq)
-                self._jitter.abandon(actions.gave_up)
-                self.send_pli()
+                    self._spans.abandon(
+                        self._spans.resolve(self._media_ssrc, seq),
+                        "give_up",
+                    )
+            for seq in actions.gave_up:
+                self.receiver.gaps.acknowledge(seq)
+            self._jitter.abandon(actions.gave_up)
+            self.send_pli()
 
     def send_pli(self) -> None:
         """Request a full refresh of the shared region (section 5.3.1)."""

@@ -27,6 +27,7 @@ deterministic state machine:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -96,7 +97,9 @@ class RecoveryManager:
         #: extended seq → retry state.
         self._pending: dict[int, _PendingLoss] = {}
         #: extended seq → recovery time, for duplicate suppression.
-        self._recovered_at: dict[int, float] = {}
+        #: Oldest first: a re-recovered key moves to the end, so expiry
+        #: pops from the front.
+        self._recovered_at: OrderedDict[int, float] = OrderedDict()
         self.nacks_sent = 0
         self.retries = 0
         self.recovered = 0
@@ -126,6 +129,7 @@ class RecoveryManager:
         state = self._pending.pop(ext, None)
         now = self._now()
         if state is not None:
+            self._g_pending.set(len(self._pending))
             self._mark_recovered(ext, state, now)
             return True
         if ext in self._recovered_at:
@@ -141,6 +145,7 @@ class RecoveryManager:
         already skipped the hole and a refresh is underway)."""
         ext = self._extender.extend(seq)
         if self._pending.pop(ext, None) is not None:
+            self._g_pending.set(len(self._pending))
             self.cancelled += 1
             self._c_cancelled.inc()
 
@@ -205,13 +210,15 @@ class RecoveryManager:
         self._c_recovered.inc()
         self._h_latency.observe(now - state.first_seen)
         self._recovered_at[ext] = now
+        self._recovered_at.move_to_end(ext)
 
     def _prune_recovered(self, now: float) -> None:
-        if len(self._recovered_at) > 4096:
-            cutoff = now - self.recovered_memory
-            self._recovered_at = {
-                e: t for e, t in self._recovered_at.items() if t >= cutoff
-            }
+        """Forget recoveries older than ``recovered_memory``, oldest
+        first, so each poll costs only what has expired."""
+        recovered = self._recovered_at
+        cutoff = now - self.recovered_memory
+        while recovered and next(iter(recovered.values())) < cutoff:
+            recovered.popitem(last=False)
 
     @property
     def pending(self) -> int:

@@ -6,6 +6,19 @@ import math
 from dataclasses import dataclass, field
 
 
+def percentile_of_sorted(ordered: list[float], p: float) -> float:
+    """Linear-interpolated percentile ``p`` of non-empty sorted samples."""
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100) * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1 - frac) + ordered[high] * frac
+
+
 class LatencyRecorder:
     """Collects latency samples and reports percentile statistics."""
 
@@ -36,16 +49,7 @@ class LatencyRecorder:
             raise ValueError("percentile must be in [0, 100]")
         if not self._samples:
             return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100) * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return percentile_of_sorted(sorted(self._samples), p)
 
     def max(self) -> float:
         return max(self._samples) if self._samples else 0.0

@@ -52,6 +52,39 @@ class TestHandles:
         assert h.summary()["max"] == pytest.approx(0.3)
 
 
+class TestPercentiles:
+    SAMPLES = ([], [0.25], [0.5, 0.1], [0.3, 0.9, 0.1, 0.7, 0.5, 0.2, 0.8])
+    PS = (0, 1, 25, 50, 90, 95, 99, 99.9, 100)
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_matches_percentile(self, samples):
+        h = Histogram("lat")
+        for s in samples:
+            h.observe(s)
+        assert h.percentiles(self.PS) == tuple(h.percentile(p) for p in self.PS)
+
+    def test_sorts_once(self, monkeypatch):
+        import repro.obs.registry as registry
+
+        calls = []
+        real_sorted = sorted
+
+        def counting_sorted(*args, **kwargs):
+            calls.append(1)
+            return real_sorted(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "sorted", counting_sorted, raising=False)
+        h = Histogram("lat")
+        for s in (0.3, 0.1, 0.2):
+            h.observe(s)
+        assert h.percentiles((50, 95, 99)) == pytest.approx((0.2, 0.29, 0.298))
+        assert len(calls) == 1
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            Histogram("lat").percentiles((50, 101))
+
+
 class TestQueries:
     def test_get_exact(self):
         reg = MetricsRegistry()

@@ -183,3 +183,67 @@ class TestValidation:
             RecoveryManager(now=clock.now, max_attempts=0)
         with pytest.raises(ValueError):
             RecoveryManager(now=clock.now, recovered_memory=-1)
+
+
+class TestPendingGauge:
+    """``recovery.pending`` tracks the retry map wherever it shrinks, so
+    it is right even when the caller skips idle polls."""
+
+    def _pending_gauge(self, obs):
+        return obs.snapshot()["gauges"]["recovery.pending"]
+
+    def test_cancel_of_last_loss_zeroes_gauge_without_poll(self, clock):
+        obs = Instrumentation(clock=clock.now)
+        m = RecoveryManager(now=clock.now, instrumentation=obs)
+        m.poll([10, 11])
+        assert self._pending_gauge(obs) == 2
+        m.cancel(10)
+        assert self._pending_gauge(obs) == 1
+        m.cancel(11)
+        assert self._pending_gauge(obs) == 0
+
+    def test_arrival_of_last_loss_zeroes_gauge_without_poll(self, clock):
+        obs = Instrumentation(clock=clock.now)
+        m = RecoveryManager(now=clock.now, instrumentation=obs)
+        m.poll([10])
+        m.note_arrival(10)
+        assert self._pending_gauge(obs) == 0
+
+
+class TestRecoveredMemory:
+    def test_bounded_by_memory_and_pruned_oldest_first(self, clock):
+        m = manager(clock, recovered_memory=1.0)
+        for seq in range(100):
+            m.poll([seq])
+            m.note_arrival(seq)
+            clock.advance(0.1)
+        # Only recoveries within the last second of polls survive.
+        assert len(m._recovered_at) <= 11
+        assert list(m._recovered_at) == sorted(m._recovered_at)
+
+    def test_not_rebuilt_when_nothing_expired(self, clock):
+        m = manager(clock, recovered_memory=5.0)
+        for seq in range(5000):
+            m.poll([seq])
+            m.note_arrival(seq)
+        recovered = m._recovered_at
+        m.poll([6000])
+        # Same map, same entries: no rebuild, nothing dropped.
+        assert m._recovered_at is recovered
+        assert len(recovered) == 5000
+
+    def test_re_recovered_seq_moves_to_newest(self, clock):
+        m = manager(clock, recovered_memory=1.0)
+        m.poll([1, 2])
+        m.note_arrival(1)
+        m.note_arrival(2)
+        clock.advance(0.6)
+        m.poll([1])  # 1 goes missing again (same extended seq)
+        m.note_arrival(1)
+        assert list(m._recovered_at) == [2, 1]
+        clock.advance(0.6)
+        m.poll([])
+        # 2 expired; 1, recovered again later, is still remembered.
+        assert list(m._recovered_at) == [1]
+        m.note_arrival(1)
+        assert m.duplicates_suppressed == 1
