@@ -13,10 +13,10 @@ Three sections:
   scalar reconstruction (reported, not gated).
 * ``pipeline`` — TileDiffer damage pass + cached re-encode of repeated
   screen frames: what a steady-state sharing session actually runs.
-* ``parallel`` — the worker-process band pipeline
+* ``parallel`` — the band pipeline on a thread pool
   (``repro.codecs.parallel``) vs the single-threaded vector path, with
   byte-identity verified before timing and pool teardown asserted
-  after (leaked workers or shared memory fail the run loudly).
+  after (an encode thread still alive fails the run loudly).
 * ``fanout``  — the same frame encoded for 1 vs 8 destinations through
   the shared cache; misses scaling with destinations is a fatal error.
 
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -180,11 +180,11 @@ def bench_pipeline(repeats: int) -> dict:
 
 
 def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
-    """Worker-pool band encode vs the single-threaded vector path.
+    """Band encode on a thread pool vs the single-threaded vector path.
 
     Verifies the byte-identity contract before timing anything, and
-    asserts complete pool teardown after: CI fails loudly on leaked
-    worker processes or shared-memory blocks.
+    asserts complete pool teardown after: CI fails loudly when an
+    encode thread survives the pool's shutdown.
     """
     from repro.codecs.lossy import LossyDctCodec
     from repro.codecs.parallel import (
@@ -195,9 +195,8 @@ def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
     from repro.codecs.png.encoder import filtered_scanlines
 
     cpu = os.cpu_count() or 1
-    workers = max(1, cpu - 1)
-    out: dict = {"cpu_count": cpu, "workers": workers}
-    pool = EncodePool(workers)
+    out: dict = {"cpu_count": cpu, "threads": cpu}
+    pool = EncodePool(cpu)
     try:
         for name, img in images.items():
             serial = encode_png(img)
@@ -207,7 +206,7 @@ def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
                     f"FATAL: parallel PNG of {name} decodes differently"
                 )
             scan = pool.filtered_scanline_bands(img)
-            if scan is not None and scan != filtered_scanlines(img).tobytes():
+            if scan != filtered_scanlines(img).tobytes():
                 raise SystemExit(
                     f"FATAL: parallel scanline stream of {name} is not"
                     " byte-identical to the vector path"
@@ -230,19 +229,15 @@ def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
             "serial_ms": t_ser * 1e3,
             "ratio": t_ser / t_par,
         }
-        out["fallbacks"] = pool.snapshot()["fallbacks"]
     finally:
         pool.close()
-    after = pool.snapshot()
-    if after["workers"] != 0 or after["shm_bytes"] != 0:
-        raise SystemExit(f"FATAL: pool teardown leaked state: {after}")
-    leaked = [
-        p for p in multiprocessing.active_children()
-        if p.name.startswith("encode-worker")
+    alive = [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("encode") and t.is_alive()
     ]
-    if leaked:
+    if alive:
         raise SystemExit(
-            f"FATAL: {len(leaked)} encode worker(s) survived pool close"
+            f"FATAL: encode thread(s) survived pool close: {alive}"
         )
     return out
 
@@ -338,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         row = par[name]
         print(
             f"  parallel {name:>12}: {row['parallel_ms']:7.2f} ms"
-            f" ({par['workers']} workers) vs {row['serial_ms']:7.2f} ms"
+            f" ({par['threads']} threads) vs {row['serial_ms']:7.2f} ms"
             f" serial ({row['ratio']:.2f}x)"
         )
     fan = results["fanout"]

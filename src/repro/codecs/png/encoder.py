@@ -81,9 +81,10 @@ def encode_png(
     buffer that zlib compresses in place — no per-row temporaries, no
     ``bytes()`` copy of the filtered image.  The scalar reference path
     lives in :func:`repro.codecs.png.reference.encode_png_scalar` and
-    produces byte-identical output; the multi-process band path lives
-    in :func:`repro.codecs.parallel.encode_png_parallel` and produces a
-    byte-identical *scanline stream* (the deflate framing differs).
+    produces byte-identical output; the band-parallel path on a thread
+    pool lives in :func:`repro.codecs.parallel.encode_png_parallel` and
+    produces a byte-identical *scanline stream* (the deflate framing
+    differs).
     """
     height, width = check_encode_input(pixels)
     filtered = filtered_scanlines(

@@ -62,7 +62,7 @@ STAGES = (
 #: Stages only present on some topologies: a direct AH→participant
 #: session has no ``relay`` hop, ``failover`` appears only on the
 #: first update a re-parented relay forwards after its parent died,
-#: and ``parallel_encode`` marks only updates the worker pool encoded
+#: and ``parallel_encode`` marks only updates the band pool encoded
 #: — so completeness checks must not demand these.
 OPTIONAL_STAGES = ("relay", "failover", "parallel_encode")
 

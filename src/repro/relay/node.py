@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from ..core.errors import ProtocolError
 from ..health.liveness import LivenessConfig, LivenessTracker, PeerState
 from ..net.ratecontrol import TokenBucket
-from ..obs.clockutil import resolve_clock
-from ..obs.instrumentation import resolve_obs
+from ..obs.clockutil import as_now
+from ..obs.instrumentation import NULL
 from ..rtp.clock import DEFAULT_CLOCK_RATE
 from ..rtp.feedback import GenericNack, PictureLossIndication, aggregated_nacks
 from ..rtp.packet import RtpPacket
@@ -166,14 +166,12 @@ class RelayNode:
         config: RelayConfig | None = None,
         rng: random.Random | None = None,
         obs=None,
-        now=None,
-        instrumentation=None,
     ) -> None:
         self.id = relay_id
         self.upstream = upstream
         self.config = config or RelayConfig()
-        self._now = resolve_clock(clock, now, "RelayNode", default=lambda: 0.0)
-        self.obs = resolve_obs(obs, instrumentation, "RelayNode").scoped(
+        self._now = as_now(clock, default=lambda: 0.0)
+        self.obs = (obs if obs is not None else NULL).scoped(
             peer=relay_id, side="relay"
         )
         r = rng or random.Random(0)

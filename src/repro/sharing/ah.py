@@ -19,8 +19,8 @@ from ..codecs.cache import EncodeCache
 from ..core.errors import ProtocolError
 from ..health.liveness import LivenessConfig, LivenessTracker
 from ..net.ratecontrol import TokenBucket
-from ..obs.clockutil import resolve_clock
-from ..obs.instrumentation import NULL, resolve_obs
+from ..obs.clockutil import as_now
+from ..obs.instrumentation import NULL
 from ..rtp.feedback import GenericNack, PictureLossIndication
 from ..rtp.reports import RtcpReporter
 from ..rtp.rtcp import RtcpError, decode_compound
@@ -62,18 +62,14 @@ class ApplicationHost:
         clock=None,
         floor_check: FloorCheck | None = None,
         rng: random.Random | None = None,
-        now=None,
         obs=None,
-        instrumentation=None,
         liveness: LivenessConfig | None = None,
     ) -> None:
         self.config = config or SharingConfig()
         self.registry = registry or default_registry()
-        self._now = resolve_clock(
-            clock, now, "ApplicationHost", default=lambda: 0.0
-        )
+        self._now = as_now(clock, default=lambda: 0.0)
         self._rng = rng or random.Random(0)
-        self.obs = resolve_obs(obs, instrumentation, "ApplicationHost")
+        self.obs = obs if obs is not None else NULL
         #: One content-addressed encode cache for the whole session:
         #: the same damaged block fanned out to N destinations (or
         #: repeated over time) is encoded once.
@@ -82,17 +78,16 @@ class ApplicationHost:
             if self.config.encode_cache_entries
             else None
         )
-        #: One worker-process encode pool for the whole session (opt-in
-        #: via ``encode_workers``); shared by every per-destination
-        #: encoder like the cache.  Owned here: :meth:`close` tears it
-        #: down, and the hosting layer supervises its ``watch()`` loop.
+        #: One band-encode thread pool for the whole session (opt-in via
+        #: ``encode_workers``; -1 means ``os.cpu_count()``); shared by
+        #: every per-destination encoder like the cache.  Owned here:
+        #: :meth:`close` shuts it down.
         self.encode_pool = None
         if self.config.encode_workers:
             from ..codecs.parallel import EncodePool
 
-            workers = self.config.encode_workers
             self.encode_pool = EncodePool(
-                0 if workers < 0 else workers, obs=self.obs
+                max(0, self.config.encode_workers), obs=self.obs
             )
 
         self.windows = WindowManager(screen_width, screen_height)
@@ -347,7 +342,7 @@ class ApplicationHost:
     # -- Lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release host-owned process resources (the encode pool)."""
+        """Release host-owned resources: shut the encode pool down."""
         if self.encode_pool is not None:
             self.encode_pool.close()
 

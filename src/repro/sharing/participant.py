@@ -46,8 +46,8 @@ from ..core.registry import (
     MSG_WINDOW_MANAGER_INFO,
 )
 from ..core.window_info import WindowManagerInfo, WindowRecord
-from ..obs.clockutil import resolve_clock
-from ..obs.instrumentation import NULL, resolve_obs
+from ..obs.clockutil import as_now
+from ..obs.instrumentation import NULL
 from ..rtp.feedback import PictureLossIndication, nacks_for
 from ..rtp.jitter_buffer import JitterBuffer
 from ..rtp.packet import RtpPacket
@@ -99,14 +99,12 @@ class Participant:
         partial_update_deadline: float = 2.0,
         extension_handlers: dict | None = None,
         rng: random.Random | None = None,
-        now=None,
         obs=None,
-        instrumentation=None,
     ) -> None:
         self.id = participant_id
         self.transport = transport
-        self._now = resolve_clock(clock, now, "Participant")
-        self._obs = resolve_obs(obs, instrumentation, "Participant").scoped(
+        self._now = as_now(clock, owner="Participant")
+        self._obs = (obs if obs is not None else NULL).scoped(
             peer=participant_id, side="participant"
         )
         #: Shared with the AH side of the session: arriving sequence

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from ...net.channel import ChannelConfig, duplex_lossy, duplex_reliable
-from ...obs.instrumentation import NULL, resolve_obs
+from ...obs.instrumentation import NULL
 from ...sdp import build_ah_offer, negotiate, parse_sdp
 from ...sip.dialog import DialogState, SipEndpoint
 from ..ah import ApplicationHost
@@ -62,7 +62,6 @@ class SessionCore:
         rng: random.Random | None = None,
         rate_bps: int | None = None,
         obs=None,
-        instrumentation=None,
         cooperative_budget: int | None = None,
     ) -> None:
         if not callable(getattr(clock, "now", None)):
@@ -74,8 +73,6 @@ class SessionCore:
         self._rng = rng or random.Random(7)
         #: Token-bucket tier attached to UDP participants (section 4.3).
         self.rate_bps = rate_bps
-        obs = resolve_obs(obs, instrumentation, type(self).__name__,
-                          default=None)
         self.obs = obs if obs is not None else getattr(ah, "obs", None)
         #: Per-drain packet bound applied to negotiated media transports
         #: (None = unbounded, the historical synchronous behaviour).

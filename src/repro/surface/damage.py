@@ -8,13 +8,9 @@ diffing successive captures.  :class:`TileDiffer` does this with a fixed
 grid: each tile is compared wholesale (a vectorised numpy comparison)
 and changed tiles are merged into a compact :class:`Region`.
 
-The comparison is band-partitionable: :func:`band_spans` splits the
-tile grid into horizontal bands on tile boundaries and
-:func:`band_tile_changes` computes one band's changed tiles
-independently, so bands can run on worker processes
-(:class:`repro.codecs.parallel.EncodePool`) against shared-memory
-framebuffers.  Any band partition produces exactly the whole-image
-result.
+:func:`band_tile_changes` computes the changed tiles of one
+tile-aligned span of rows; :class:`TileDiffer` runs it once over the
+whole image.
 
 Tile size trades detection granularity against comparison overhead; the
 ablation benchmark ``bench_damage.py`` sweeps it.
@@ -29,21 +25,6 @@ from .geometry import Rect
 from .region import Region
 
 DEFAULT_TILE = 32
-
-
-def band_spans(height: int, tile: int, bands: int) -> list[tuple[int, int]]:
-    """Split ``height`` pixel rows into ≤ ``bands`` tile-aligned spans."""
-    if bands < 1:
-        raise ValueError("band count must be positive")
-    tile_rows = -(-height // tile)
-    bands = min(bands, tile_rows)
-    per_band = -(-tile_rows // bands)
-    spans = []
-    for start in range(0, tile_rows, per_band):
-        y0 = start * tile
-        y1 = min((start + per_band) * tile, height)
-        spans.append((y0, y1))
-    return spans
 
 
 def band_tile_changes(
@@ -74,50 +55,20 @@ def band_tile_changes(
 
 
 class TileDiffer:
-    """Detects changed regions between consecutive frames of one surface.
+    """Detects changed regions between consecutive frames of one surface."""
 
-    ``bands`` partitions the compare into tile-aligned horizontal
-    bands; with ``pool`` (an :class:`repro.codecs.parallel.EncodePool`)
-    the bands run on worker processes when both the reference snapshot
-    and the incoming frame live in the pool's shared memory.  Either
-    knob leaves the reported damage bit-identical to the default
-    whole-image pass.
-    """
-
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        tile: int = DEFAULT_TILE,
-        bands: int = 1,
-        pool=None,
-    ):
+    def __init__(self, width: int, height: int, tile: int = DEFAULT_TILE):
         if tile <= 0:
             raise ValueError("tile size must be positive")
         if width <= 0 or height <= 0:
             raise ValueError("surface must be non-empty")
-        if bands < 1:
-            raise ValueError("band count must be positive")
         self.tile = tile
-        self.bands = bands
-        self.pool = pool
         self.bounds = Rect(0, 0, width, height)
         self._previous: np.ndarray | None = None
 
     def reset(self) -> None:
         """Forget the reference frame; next diff reports full damage."""
         self._previous = None
-
-    def _alloc_previous(self, current: np.ndarray) -> np.ndarray:
-        """Reference snapshot storage: pool shared memory when available."""
-        if self.pool is not None:
-            frame = self.pool.alloc_frame(
-                self.bounds.height, self.bounds.width
-            )
-            if frame is not None:
-                np.copyto(frame.array, current)
-                return frame.array
-        return np.array(current, copy=True)
 
     def diff(self, frame: Framebuffer) -> Region:
         """Damage of ``frame`` relative to the previously seen frame.
@@ -126,9 +77,9 @@ class TileDiffer:
         whole surface as damaged — exactly the "full screen update"
         semantics of a PLI response.
 
-        All tiles are compared in one whole-array pass per band; the
-        reference snapshot is refreshed by copying only the changed
-        tiles — an unchanged frame costs one comparison and zero copies.
+        All tiles are compared in one whole-array pass; the reference
+        snapshot is refreshed by copying only the changed tiles — an
+        unchanged frame costs one comparison and zero copies.
         """
         if frame.width != self.bounds.width or frame.height != self.bounds.height:
             raise ValueError(
@@ -137,7 +88,7 @@ class TileDiffer:
             )
         current = frame.array
         if self._previous is None:
-            self._previous = self._alloc_previous(current)
+            self._previous = np.array(current, copy=True)
             return Region.from_rect(self.bounds)
 
         prev = self._previous
@@ -145,22 +96,10 @@ class TileDiffer:
             current = np.ascontiguousarray(current)
         tile = self.tile
         height, width = self.bounds.height, self.bounds.width
-        spans = band_spans(height, tile, self.bands)
-
-        coord_arrays = None
-        if self.pool is not None:
-            coord_arrays = self.pool.diff_bands(prev, current, spans, tile)
-        if coord_arrays is None:
-            prev32 = prev.view(np.uint32)[:, :, 0]
-            cur32 = current.view(np.uint32)[:, :, 0]
-            coord_arrays = [
-                band_tile_changes(prev32, cur32, y0, y1, tile)
-                for y0, y1 in spans
-            ]
-        coords = (
-            np.concatenate(coord_arrays)
-            if len(coord_arrays) > 1
-            else coord_arrays[0]
+        coords = band_tile_changes(
+            prev.view(np.uint32)[:, :, 0],
+            current.view(np.uint32)[:, :, 0],
+            0, height, tile,
         )
         if coords.shape[0] == 0:
             return Region.empty()

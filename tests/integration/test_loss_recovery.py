@@ -207,7 +207,7 @@ class TestBurstLossRecovery:
             duplicate_rate=0.03,
         )
         participant = udp_pair(
-            clock, ah, seed=11, instrumentation=obs
+            clock, ah, seed=11, obs=obs
         )
         sim = Simulation(ah, clock, instrumentation=obs)
         sim.add_participant(participant)
@@ -248,7 +248,7 @@ class TestBurstLossRecovery:
         obs = Instrumentation(clock=clock.now)
         ah, _win, editor = editor_session(clock)
         participant = udp_pair(
-            clock, ah, seed=4, instrumentation=obs,
+            clock, ah, seed=4, obs=obs,
             faults=FaultProfile(duplicate_rate=0.5),
         )
 
@@ -281,7 +281,7 @@ class TestGiveUpDegradation:
         config = SharingConfig(retransmissions=False)
         ah, _win, editor = editor_session(clock, config)
         participant = udp_pair(
-            clock, ah, seed=17, instrumentation=obs,
+            clock, ah, seed=17, obs=obs,
             ah_supports_retransmissions=True,
             reorder_wait=30.0,
         )

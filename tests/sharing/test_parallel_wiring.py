@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -106,8 +108,38 @@ class TestApplicationHostPool:
     def test_invalid_worker_config_rejected(self):
         with pytest.raises(ValueError):
             SharingConfig(encode_workers=-2)
-        with pytest.raises(ValueError):
-            SharingConfig(encode_bands=-1)
+
+    def test_close_stops_encode_threads_and_is_idempotent(self):
+        def encode_threads():
+            return {
+                t for t in threading.enumerate()
+                if t.name.startswith("encode") and t.is_alive()
+            }
+
+        before = encode_threads()
+        ah = ApplicationHost(
+            320, 240, config=SharingConfig(encode_workers=2),
+            clock=SimulatedClock().now,
+        )
+        session = ah.add_participant("p1", NullTransport())
+        assert session.scheduler.encoder.encode_update(
+            UpdateOp(1, 0, 0, _photo(4)), 0.0
+        )
+        assert encode_threads() - before
+        ah.close()
+        ah.close()
+        assert ah.encode_pool.closed
+        assert not encode_threads() - before
+
+    def test_minus_one_sizes_threads_to_the_machine(self):
+        ah = ApplicationHost(
+            320, 240, config=SharingConfig(encode_workers=-1),
+            clock=SimulatedClock().now,
+        )
+        try:
+            assert ah.encode_pool.workers == (os.cpu_count() or 1)
+        finally:
+            ah.close()
 
 
 class TestHostedSessionPool:
@@ -123,11 +155,6 @@ class TestHostedSessionPool:
                 session = server.session(code)
                 pool = session.ah.encode_pool
                 assert pool is not None and not pool.closed
-                # The pool watch loop rides the session's supervision.
-                assert any(
-                    "encode-pool" in (t.get_name() or "")
-                    for t in session._tasks
-                )
                 session.close(reason="test")
                 assert pool.closed
 
